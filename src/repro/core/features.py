@@ -16,7 +16,6 @@ the graph is shared read-only, exactly as the paper argues for its
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,8 +27,9 @@ from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
 from repro.core.sparse import CSRMatrix
 from repro.exceptions import FeatureError
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_SAMPLED, RunContext
+from repro.runtime.executor import parallel_map
 from repro.runtime.store import STAGE_FEATURES, ArtifactStore
 
 
@@ -192,38 +192,10 @@ class SubgraphFeatures:
         return self.matrix.shape[1]
 
 
-# Worker-process state for parallel extraction: the graph and config are
-# shipped once per worker via the pool initializer instead of once per
-# task, which matters because the graph dominates the payload (the paper's
-# shared-edge-list argument, in pickle form).
-_WORKER_STATE: dict = {}
-
-
-def _init_census_worker(
-    graph: HeteroGraph,
-    config: CensusConfig,
-    engine: str | None = None,
-    sampled: SampledCensusConfig | None = None,
-) -> None:
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["sampled"] = sampled
-
-
-def _census_chunk_worker(chunk: list[int]) -> tuple[list[Counter], dict]:
-    """Census one chunk of roots; ship results plus worker telemetry.
-
-    The worker records per-root and per-chunk timing into its own local
-    :class:`~repro.obs.telemetry.Telemetry` and returns the picklable
-    snapshot alongside the counters, so the dispatching parent can merge
-    the stats that would otherwise die with the pool.
-    """
-    graph = _WORKER_STATE["graph"]
-    config = _WORKER_STATE["config"]
-    engine = _WORKER_STATE.get("engine")
-    sampled = _WORKER_STATE.get("sampled")
-    telemetry = Telemetry()
+def _census_chunk(state, chunk: list[int]) -> list[Counter]:
+    """Census one chunk of roots (a :func:`parallel_map` task)."""
+    graph, config, engine, sampled = state
+    telemetry = get_telemetry()
     censuses = []
     with telemetry.span("census/chunk"):
         for root in chunk:
@@ -233,7 +205,7 @@ def _census_chunk_worker(chunk: list[int]) -> tuple[list[Counter], dict]:
                         graph, root, config, engine=engine, sampled=sampled
                     )
                 )
-    return censuses, telemetry.snapshot()
+    return censuses
 
 
 class SubgraphFeatureExtractor:
@@ -319,13 +291,6 @@ class SubgraphFeatureExtractor:
         self.sampled = sampled
         self.mp_context = mp_context
 
-    def _resolved_mp_context(self):
-        if isinstance(self.mp_context, str):
-            import multiprocessing
-
-            return multiprocessing.get_context(self.mp_context)
-        return self.mp_context
-
     def census_many(
         self,
         graph: HeteroGraph,
@@ -344,8 +309,7 @@ class SubgraphFeatureExtractor:
         tail — and the original order is restored before returning.  The
         pool is skipped entirely when there is too little work to
         amortise its startup (``nodes`` empty, or fewer pending roots
-        than workers); worker-side timing is merged back into the
-        parent's telemetry either way.
+        than workers); the run telemetry is the same either way.
 
         ``partitions`` (or the extractor-level setting) switches the
         uncached roots onto the sharded driver of
@@ -418,41 +382,31 @@ class SubgraphFeatureExtractor:
                         workers=self.ctx.workers,
                     )
                 )
-            elif self.n_jobs == 1 or len(pending) < self.n_jobs:
-                with telemetry.span("census/chunk"):
-                    for node in pending:
-                        with telemetry.span("census/root"):
-                            computed[node] = subgraph_census(
-                                graph,
-                                node,
-                                config,
-                                engine=self.engine,
-                                sampled=sampled,
-                            )
             else:
                 degrees = graph.flat().degrees
-                pending = sorted(
+                order = sorted(
                     pending, key=lambda node: degrees[node], reverse=True
                 )
+                # Fewer pending roots than workers cannot amortise a pool.
+                n_jobs = self.n_jobs if len(order) >= self.n_jobs else 1
                 # ~4 chunks per worker balances scheduling overhead
                 # against load skew from uneven per-root cost.
-                chunksize = max(1, len(pending) // (self.n_jobs * 4))
+                chunksize = max(1, len(order) // (n_jobs * 4))
                 chunks = [
-                    pending[start: start + chunksize]
-                    for start in range(0, len(pending), chunksize)
+                    order[start: start + chunksize]
+                    for start in range(0, len(order), chunksize)
                 ]
-                with ProcessPoolExecutor(
-                    max_workers=self.n_jobs,
-                    mp_context=self._resolved_mp_context(),
-                    initializer=_init_census_worker,
-                    initargs=(graph, config, self.engine, sampled),
-                ) as pool:
-                    for chunk, (censuses, snapshot) in zip(
-                        chunks, pool.map(_census_chunk_worker, chunks)
-                    ):
-                        for node, census in zip(chunk, censuses):
-                            computed[node] = census
-                        telemetry.merge(snapshot)
+                for chunk, censuses in zip(
+                    chunks,
+                    parallel_map(
+                        _census_chunk,
+                        chunks,
+                        n_jobs=n_jobs,
+                        setup_args=(graph, config, self.engine, sampled),
+                        mp_context=self.mp_context,
+                    ),
+                ):
+                    computed.update(zip(chunk, censuses))
             if cache is not None:
                 for node in pending:
                     cache.put(graph, config, node, computed[node], sampled)

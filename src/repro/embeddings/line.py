@@ -26,15 +26,15 @@ keeps the per-edge formulation.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Literal
 
 import numpy as np
 
 from repro.core.graph import HeteroGraph
 from repro.embeddings.alias import AliasTable
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
+from repro.runtime.executor import parallel_map
 
 #: Valid LINE engine names (checked through the shared runtime validator).
 ENGINES = ("fast", "reference")
@@ -57,27 +57,18 @@ def _spawn_children(rng: np.random.Generator, n: int) -> list[np.random.Generato
         return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def _train_order(
-    directed: np.ndarray,
-    edge_table: AliasTable,
-    noise: AliasTable,
-    num_nodes: int,
-    dim: int,
-    samples: int,
-    rng: np.random.Generator,
-    second_order: bool,
-    negative: int,
-    learning_rate: float,
-    batch_size: int,
-    engine: LineEngine,
-) -> tuple[np.ndarray, dict]:
-    """One LINE order, self-contained so a worker process can run it.
+def _train_order(state, task) -> np.ndarray:
+    """One LINE order (a :func:`parallel_map` task); returns its vertex matrix.
 
-    Returns the trained vertex matrix plus a picklable telemetry
-    snapshot (per-order timing and sample counts), recorded locally so
-    the stats survive the trip back from a worker process.
+    ``state`` holds what both orders share, ``task`` the order's own
+    ``(dim, rng, second_order)``.
     """
-    telemetry = Telemetry()
+    (
+        directed, edge_table, noise, num_nodes, samples, negative,
+        learning_rate, batch_size, engine,
+    ) = state
+    dim, rng, second_order = task
+    telemetry = get_telemetry()
     order_name = "second" if second_order else "first"
     scale = 0.5 / dim
     vertex = rng.uniform(-scale, scale, size=(num_nodes, dim))
@@ -144,11 +135,7 @@ def _train_order(
             np.add.at(context, negatives.ravel(), -lr * grad_negative.reshape(-1, dim))
     telemetry.timer(f"line/order_{order_name}", time.perf_counter() - started)
     telemetry.count("line/samples", steps * batch_size)
-    return vertex.astype(np.float64, copy=False), telemetry.snapshot()
-
-
-def _order_worker(args) -> tuple[np.ndarray, dict]:
-    return _train_order(*args)
+    return vertex.astype(np.float64, copy=False)
 
 
 class LINE:
@@ -219,31 +206,15 @@ class LINE:
             samples = max(200 * graph.num_edges, self.batch_size)
 
         first_rng, second_rng = _spawn_children(rng, 2)
-        tasks = [
-            (
-                directed, edge_table, noise, graph.num_nodes, half, samples,
-                first_rng, False, self.negative, self.learning_rate,
-                self.batch_size, self.engine,
+        first, second = parallel_map(
+            _train_order,
+            [(half, first_rng, False), (self.dim - half, second_rng, True)],
+            n_jobs=self.n_jobs,
+            setup_args=(
+                directed, edge_table, noise, graph.num_nodes, samples,
+                self.negative, self.learning_rate, self.batch_size, self.engine,
             ),
-            (
-                directed, edge_table, noise, graph.num_nodes, self.dim - half,
-                samples, second_rng, True, self.negative, self.learning_rate,
-                self.batch_size, self.engine,
-            ),
-        ]
-        if self.n_jobs >= 2:
-            with ProcessPoolExecutor(max_workers=2) as executor:
-                (first, first_stats), (second, second_stats) = list(
-                    executor.map(_order_worker, tasks)
-                )
-        else:
-            first, first_stats = _train_order(*tasks[0])
-            second, second_stats = _train_order(*tasks[1])
-        # Orders record into local registries (they may run in worker
-        # processes); merging here makes n_jobs transparent to telemetry.
-        telemetry = get_telemetry()
-        telemetry.merge(first_stats)
-        telemetry.merge(second_stats)
+        )
         self.embedding_ = np.hstack([first, second])
         return self
 

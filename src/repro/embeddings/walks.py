@@ -36,15 +36,15 @@ generation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from repro.core.graph import HeteroGraph
-from repro.obs.telemetry import Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext, resolve_engine
+from repro.runtime.executor import parallel_map
 from repro.runtime.store import STAGE_WALKS
 
 WalkEngine = Literal["fast", "reference"]
@@ -280,35 +280,21 @@ def _walk_epoch(
 # ----------------------------------------------------------------------
 # Multiprocess epoch sharding
 # ----------------------------------------------------------------------
-# Workers receive the graph once via the pool initializer (the paper's
-# shared-edge-list argument, in pickle form) and rebuild the CSR snapshot
-# locally; each task then only ships one child generator.
-_WALK_STATE: dict = {}
+# The graph ships once per worker and each worker builds its own CSR
+# snapshot; each task then only ships one child generator.
+def _walk_state(graph, starts, walk_length, p, q, engine) -> tuple:
+    csr = _WalkCSR.from_graph(graph) if engine == "fast" else None
+    return graph, csr, starts, walk_length, p, q, engine
 
 
-def _init_walk_worker(graph, starts, walk_length, p, q, engine) -> None:
-    _WALK_STATE["graph"] = graph
-    _WALK_STATE["csr"] = _WalkCSR.from_graph(graph) if engine == "fast" else None
-    _WALK_STATE["args"] = (starts, walk_length, p, q, engine)
-
-
-def _epoch_worker(rng: np.random.Generator) -> tuple[np.ndarray, dict]:
-    """Run one epoch in a worker; ship the block plus worker telemetry."""
-    starts, walk_length, p, q, engine = _WALK_STATE["args"]
-    telemetry = Telemetry()
+def _walk_epoch_task(state, rng: np.random.Generator) -> np.ndarray:
+    """One epoch of walks (a :func:`parallel_map` task)."""
+    graph, csr, starts, walk_length, p, q, engine = state
+    telemetry = get_telemetry()
     with telemetry.span("walks/epoch"):
-        block = _walk_epoch(
-            _WALK_STATE["graph"],
-            _WALK_STATE["csr"],
-            starts,
-            walk_length,
-            p,
-            q,
-            engine,
-            rng,
-        )
+        block = _walk_epoch(graph, csr, starts, walk_length, p, q, engine, rng)
     telemetry.count("walks/generated", block.shape[0])
-    return block, telemetry.snapshot()
+    return block
 
 
 def _run_walks(
@@ -324,30 +310,17 @@ def _run_walks(
     resolve_engine(engine, ENGINES, param="walk engine")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    num_walks = len(rngs)
-    span = starts.shape[0]
-    corpus = np.full((num_walks * span, walk_length), -1, dtype=np.int64)
-    if span == 0:
-        return corpus
-    telemetry = get_telemetry()
-    if min(n_jobs, num_walks) <= 1:
-        csr = _WalkCSR.from_graph(graph) if engine == "fast" else None
-        for epoch, rng in enumerate(rngs):
-            with telemetry.span("walks/epoch"):
-                corpus[epoch * span: (epoch + 1) * span] = _walk_epoch(
-                    graph, csr, starts, walk_length, p, q, engine, rng
-                )
-            telemetry.count("walks/generated", span)
-        return corpus
-    with ProcessPoolExecutor(
-        max_workers=min(n_jobs, num_walks),
-        initializer=_init_walk_worker,
-        initargs=(graph, starts, walk_length, p, q, engine),
-    ) as pool:
-        for epoch, (block, snapshot) in enumerate(pool.map(_epoch_worker, rngs)):
-            corpus[epoch * span: (epoch + 1) * span] = block
-            telemetry.merge(snapshot)
-    return corpus
+    if starts.shape[0] == 0:
+        return np.empty((0, walk_length), dtype=np.int64)
+    return np.concatenate(
+        parallel_map(
+            _walk_epoch_task,
+            rngs,
+            n_jobs=n_jobs,
+            setup=_walk_state,
+            setup_args=(graph, starts, walk_length, p, q, engine),
+        )
+    )
 
 
 # ----------------------------------------------------------------------

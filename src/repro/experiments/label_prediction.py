@@ -17,7 +17,6 @@ Two experiment axes map to Figure 5:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,19 +34,15 @@ from repro.experiments.common import (
     percentile_degree,
 )
 from repro.ml import StandardScaler, macro_f1, train_test_split, tune_regularization
-from repro.ml.forest import resolve_n_jobs
 from repro.ml.preprocessing import log1p_counts
-from repro.obs.telemetry import fresh_telemetry, get_telemetry
-from repro.runtime.context import EXACT_ENGINES, RunContext
+from repro.obs.telemetry import get_telemetry
+from repro.runtime import EXACT_ENGINES, RunContext, resolve_n_jobs
+from repro.runtime.executor import parallel_map
 
 FEATURE_TYPES = ("subgraph", *EMBEDDING_METHODS)
 
 #: Label name standing in for removed node labels (Figure 5D–F).
 UNLABELED = "unlabeled"
-
-#: Per-worker state for the training-sweep fan-out, populated by the pool
-#: initializer so the graph and config ship once per worker process.
-_WORKER_STATE: dict = {}
 
 
 def _draw_split_seeds(rng: np.random.Generator, count: int) -> list[int]:
@@ -60,25 +55,26 @@ def _draw_split_seeds(rng: np.random.Generator, count: int) -> list[int]:
     return [int(rng.integers(0, 2**31 - 1)) for _ in range(count)]
 
 
-def _init_label_worker(graph, config) -> None:
-    _WORKER_STATE["experiment"] = LabelPredictionExperiment(graph, config)
+def _sweep_state(experiment, pooled: bool):
+    """The experiment the sweep cells run on (``parallel_map`` setup).
 
-
-def _label_feature_worker(payload):
-    """Score every (fraction, seeds) cell of one feature type.
-
-    Runs under a fresh telemetry registry; the snapshot is merged back into
-    the parent so counters and spans survive the process boundary.
+    In-process that is ``experiment`` itself; a pool worker rebuilds its
+    own from the graph and config, without the context's store.
     """
+    if not pooled:
+        return experiment
+    config = replace(experiment.config, n_jobs=1)
+    return LabelPredictionExperiment(experiment.graph, config)
+
+
+def _label_feature_worker(experiment, payload):
+    """Score every (fraction, seeds) cell of one feature type."""
     feature, cells = payload
-    experiment = _WORKER_STATE["experiment"]
-    scores = {}
-    with fresh_telemetry() as telemetry:
-        X = experiment.feature_matrix(feature)
-        for fraction, seeds in cells:
-            scores[(feature, fraction)] = experiment._score_splits(X, fraction, seeds)
-        snapshot = telemetry.snapshot()
-    return scores, snapshot
+    X = experiment.feature_matrix(feature)
+    return {
+        (feature, fraction): experiment._score_splits(X, fraction, seeds)
+        for fraction, seeds in cells
+    }
 
 
 @dataclass
@@ -328,24 +324,16 @@ class LabelPredictionExperiment:
             )
             for feature in features
         ]
-        n_jobs = resolve_n_jobs(cfg.n_jobs)
+        n_jobs = resolve_n_jobs(cfg.n_jobs) if len(plan) > 1 else 1
         scores: dict[tuple[str, float], list[float]] = {}
-        if n_jobs > 1 and len(plan) > 1:
-            telemetry = get_telemetry()
-            worker_config = replace(cfg, n_jobs=1)
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(plan)),
-                initializer=_init_label_worker,
-                initargs=(self.graph, worker_config),
-            ) as pool:
-                for cell_scores, snapshot in pool.map(_label_feature_worker, plan):
-                    scores.update(cell_scores)
-                    telemetry.merge(snapshot)
-        else:
-            for feature, cells in plan:
-                X = self.feature_matrix(feature)
-                for fraction, seeds in cells:
-                    scores[(feature, fraction)] = self._score_splits(X, fraction, seeds)
+        for cell_scores in parallel_map(
+            _label_feature_worker,
+            plan,
+            n_jobs=n_jobs,
+            setup=_sweep_state,
+            setup_args=(self, n_jobs > 1),
+        ):
+            scores.update(cell_scores)
         # Rebuild in grid order: pool results arrive per feature chunk,
         # and callers expect the same iteration order as the inline loop.
         ordered = {

@@ -19,7 +19,6 @@ The four predictive methods follow Section 4.2.3:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,9 +39,9 @@ from repro.ml import (
     StandardScaler,
     ndcg_at,
 )
-from repro.ml.forest import resolve_n_jobs
-from repro.obs.telemetry import fresh_telemetry, get_telemetry
-from repro.runtime.context import RunContext
+from repro.obs.telemetry import get_telemetry
+from repro.runtime import RunContext, resolve_n_jobs
+from repro.runtime.executor import parallel_map
 
 FEATURE_FAMILIES = ("classic", "subgraph", "combined", "node2vec", "deepwalk", "line")
 REGRESSOR_NAMES = ("LinRegr", "DecTree", "RanForest", "BayRidge")
@@ -55,34 +54,29 @@ def _hstack_blocks(blocks):
     return np.hstack(blocks)
 
 
-# Worker-process state for the parallel grid: the synthetic world and task
-# config are shipped once per worker via the pool initializer (the
-# ``_WORKER_STATE`` pattern of ``repro.core.features``); each worker keeps
-# its own experiment instance so per-conference feature reuse works inside
-# its chunk of cells.
-_WORKER_STATE: dict = {}
+def _rank_grid_state(experiment, pooled: bool):
+    """The experiment the grid cells run on (``parallel_map`` setup).
+
+    In-process that is ``experiment`` itself.  A pool worker rebuilds a
+    serial copy: the grid consumes the workers, so its forests must not
+    start pools of their own.
+    """
+    if not pooled:
+        return experiment
+    config = replace(experiment.config, n_jobs=1, conferences=None)
+    return RankPredictionExperiment(experiment.mag, config)
 
 
-def _init_rank_worker(mag, config) -> None:
-    _WORKER_STATE["experiment"] = RankPredictionExperiment(mag, config)
-
-
-def _rank_chunk_worker(payload):
-    """Run one conference's (conference, family) cells; ship results plus
-    the worker-side telemetry snapshot for the parent to merge."""
+def _rank_chunk_worker(experiment, payload):
+    """Run one conference's (conference, family) cells."""
     cells, regressors = payload
-    experiment = _WORKER_STATE["experiment"]
     ndcg: dict = {}
     timings: dict = {}
-    with fresh_telemetry() as telemetry:
-        for conference, family in cells:
-            cell_ndcg, cell_timings = experiment._run_cell(
-                conference, family, regressors
-            )
-            ndcg.update(cell_ndcg)
-            timings.update(cell_timings)
-        snapshot = telemetry.snapshot()
-    return ndcg, timings, snapshot
+    for conference, family in cells:
+        cell_ndcg, cell_timings = experiment._run_cell(conference, family, regressors)
+        ndcg.update(cell_ndcg)
+        timings.update(cell_timings)
+    return ndcg, timings
 
 
 @dataclass
@@ -337,7 +331,7 @@ class RankPredictionExperiment:
                 max_features=cfg.forest_max_features,
                 random_state=cfg.seed,
                 engine=cfg.forest_engine,
-                n_jobs=cfg.n_jobs,
+                n_jobs=resolve_n_jobs(cfg.n_jobs),
             )
         elif regressor == "BayRidge":
             selector = SelectKBest(k=cfg.select_large)
@@ -374,7 +368,7 @@ class RankPredictionExperiment:
             max_features=cfg.forest_max_features,
             random_state=cfg.seed,
             engine=cfg.forest_engine,
-            n_jobs=cfg.n_jobs,
+            n_jobs=resolve_n_jobs(cfg.n_jobs),
         )
         model.fit(X_train, y_train)
         return model, space
@@ -441,38 +435,24 @@ class RankPredictionExperiment:
         seeds its own models), so any worker count matches ``n_jobs=1``.
         """
         cfg = self.config
-        telemetry = get_telemetry()
         conferences = tuple(cfg.conferences or self.mag.config.conferences)
-        n_jobs = resolve_n_jobs(cfg.n_jobs)
+        # With one conference the forests take the workers instead.
+        n_jobs = resolve_n_jobs(cfg.n_jobs) if len(conferences) > 1 else 1
+        tasks = [
+            ([(conference, family) for family in families], regressors)
+            for conference in conferences
+        ]
         ndcg: dict[tuple[str, str, str], float] = {}
         timings: dict[str, float] = {}
-        if n_jobs > 1 and len(conferences) > 1:
-            # The grid consumes the workers; cells run forests sequentially
-            # (no nested pools).
-            worker_config = replace(cfg, n_jobs=1, conferences=None)
-            chunks = [
-                [(conference, family) for family in families]
-                for conference in conferences
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(conferences)),
-                initializer=_init_rank_worker,
-                initargs=(self.mag, worker_config),
-            ) as pool:
-                for cell_ndcg, cell_timings, snapshot in pool.map(
-                    _rank_chunk_worker, [(chunk, regressors) for chunk in chunks]
-                ):
-                    ndcg.update(cell_ndcg)
-                    timings.update(cell_timings)
-                    telemetry.merge(snapshot)
-        else:
-            for conference in conferences:
-                for family in families:
-                    cell_ndcg, cell_timings = self._run_cell(
-                        conference, family, regressors
-                    )
-                    ndcg.update(cell_ndcg)
-                    timings.update(cell_timings)
+        for cell_ndcg, cell_timings in parallel_map(
+            _rank_chunk_worker,
+            tasks,
+            n_jobs=n_jobs,
+            setup=_rank_grid_state,
+            setup_args=(self, n_jobs > 1),
+        ):
+            ndcg.update(cell_ndcg)
+            timings.update(cell_timings)
         ordered = {
             (regressor, family, conference): ndcg[(regressor, family, conference)]
             for conference in conferences

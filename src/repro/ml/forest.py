@@ -17,20 +17,16 @@ Engines and parallelism
 same-depth node of the whole forest; ``engine="reference"`` fits each tree
 with the plain per-node builder.  Both produce bit-identical estimators.
 
-``n_jobs`` fans tree chunks over a ``ProcessPoolExecutor`` whose
-initializer ships ``X, y`` once per worker (the ``_WORKER_STATE`` pattern
-of :mod:`repro.core.features`).  Per-tree RNG seeds — one for the split
+``n_jobs`` fans tree chunks over :func:`~repro.runtime.executor.parallel_map`,
+which ships ``X, y`` once per worker.  Per-tree RNG seeds — one for the split
 sampler, one for the bootstrap — are pre-drawn from the sequential stream
 of ``random_state`` *before* any fanning, so every worker count (and both
 engines) yields exactly the trees that ``n_jobs=1`` would have grown:
-predictions and ``feature_importances_`` are bit-identical.  Worker
-:class:`~repro.obs.telemetry.Telemetry` snapshots merge back into the
-parent registry.
+predictions and ``feature_importances_`` are bit-identical, and so is
+the run telemetry.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -43,11 +39,9 @@ from repro.ml.base import (
 )
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.tree_batched import fit_tree_batch
-from repro.obs.telemetry import Telemetry, get_telemetry
-from repro.runtime.context import (  # noqa: F401  (resolve_n_jobs re-exported)
-    RunContext,
-    resolve_n_jobs,
-)
+from repro.obs.telemetry import get_telemetry
+from repro.runtime.context import RunContext
+from repro.runtime.executor import parallel_map
 
 ENGINES = ("fast", "reference")
 
@@ -103,26 +97,14 @@ def _fit_tree_tasks(
     return trees
 
 
-# Worker-process state: the training matrix and fit spec are shipped once
-# per worker via the pool initializer instead of once per chunk.
-_WORKER_STATE: dict = {}
-
-
-def _init_forest_worker(X: np.ndarray, y: np.ndarray, spec: dict) -> None:
-    _WORKER_STATE["X"] = X
-    _WORKER_STATE["y"] = y
-    _WORKER_STATE["spec"] = spec
-
-
-def _forest_chunk_worker(tasks: list[tuple[int, int]]) -> tuple[list, dict]:
-    """Fit one chunk of trees; ship them back plus worker telemetry."""
-    telemetry = Telemetry()
+def _fit_tree_chunk(state, tasks: list[tuple[int, int]]) -> list:
+    """Fit one chunk of trees (a :func:`parallel_map` task)."""
+    X, y, spec = state
+    telemetry = get_telemetry()
     with telemetry.span("forest/chunk"):
-        trees = _fit_tree_tasks(
-            _WORKER_STATE["X"], _WORKER_STATE["y"], _WORKER_STATE["spec"], tasks
-        )
+        trees = _fit_tree_tasks(X, y, spec, tasks)
         telemetry.count("forest/trees_fit", len(tasks))
-    return trees, telemetry.snapshot()
+    return trees
 
 
 class _BaseForest(BaseEstimator):
@@ -135,17 +117,16 @@ class _BaseForest(BaseEstimator):
         max_features=None,
         bootstrap: bool = True,
         random_state: int | None = None,
-        n_jobs: int | None = 1,
+        n_jobs: int | None = None,
         engine: str | None = None,
         ctx: RunContext | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        ctx = RunContext.ensure(ctx, engine=engine)
+        # An explicit n_jobs wins over the context's, which wins over 1.
+        ctx = RunContext.ensure(ctx, engine=engine, n_jobs=n_jobs)
         engine = ctx.resolve_engine(ENGINES, default="fast", param="forest engine")
-        if ctx.n_jobs is not None and n_jobs == 1:
-            n_jobs = ctx.n_jobs
-        resolve_n_jobs(n_jobs)  # fail fast on a bad spec; resolved again at fit
+        n_jobs = ctx.resolved_n_jobs(default=1)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -176,31 +157,25 @@ class _BaseForest(BaseEstimator):
 
     def _fit_forest(self, X: np.ndarray, y: np.ndarray) -> None:
         telemetry = get_telemetry()
-        n_jobs = resolve_n_jobs(self.n_jobs)
         tasks = _draw_tree_tasks(self.random_state, self.n_estimators)
         spec = self._fit_spec()
         telemetry.annotate("forest/engine", self.engine)
         telemetry.count("forest/trees", self.n_estimators)
         with telemetry.span("forest/fit"):
-            if n_jobs == 1 or self.n_estimators < 2 * n_jobs:
-                trees = _fit_tree_tasks(X, y, spec, tasks)
-            else:
-                chunksize = -(-len(tasks) // n_jobs)  # ceil: one chunk per worker
-                chunks = [
-                    tasks[start : start + chunksize]
-                    for start in range(0, len(tasks), chunksize)
-                ]
-                trees = []
-                with ProcessPoolExecutor(
-                    max_workers=n_jobs,
-                    initializer=_init_forest_worker,
-                    initargs=(X, y, spec),
-                ) as pool:
-                    for chunk_trees, snapshot in pool.map(
-                        _forest_chunk_worker, chunks
-                    ):
-                        trees.extend(chunk_trees)
-                        telemetry.merge(snapshot)
+            # Fewer than two trees per worker cannot amortise a pool.
+            n_jobs = self.n_jobs if self.n_estimators >= 2 * self.n_jobs else 1
+            chunksize = -(-len(tasks) // n_jobs)  # ceil: one chunk per worker
+            chunks = [
+                tasks[start : start + chunksize]
+                for start in range(0, len(tasks), chunksize)
+            ]
+            trees = [
+                tree
+                for chunk_trees in parallel_map(
+                    _fit_tree_chunk, chunks, n_jobs=n_jobs, setup_args=(X, y, spec)
+                )
+                for tree in chunk_trees
+            ]
         self.estimators_ = trees
         importances = np.zeros(X.shape[1])
         for tree in trees:  # tree order, so any n_jobs sums identically

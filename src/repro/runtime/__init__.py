@@ -3,7 +3,9 @@
 One layer answering "how should this run execute?" for every stage of
 the library — see :mod:`repro.runtime.context` (engine/n_jobs/seed
 policy), :mod:`repro.runtime.store` (content-addressed cross-stage
-caching), and :mod:`repro.runtime.pipeline` (declared CLI stages).
+caching), :mod:`repro.runtime.pipeline` (declared CLI stages), and
+:mod:`repro.runtime.executor` (the one process pool behind every
+parallel site).
 """
 
 from repro.runtime.context import (
@@ -19,6 +21,7 @@ from repro.runtime.context import (
     resolve_engine,
     resolve_n_jobs,
 )
+from repro.runtime.executor import parallel_map
 from repro.runtime.pipeline import Pipeline, STAGES
 from repro.runtime.store import (
     ArtifactStore,
@@ -35,6 +38,7 @@ __all__ = [
     "RunContext",
     "resolve_engine",
     "resolve_n_jobs",
+    "parallel_map",
     "ENGINE_FAST",
     "ENGINE_REFERENCE",
     "ENGINE_SAMPLED",

@@ -166,3 +166,14 @@ class TestEnginesAndParallelism:
             RandomForestRegressor(engine="warp")
         with pytest.raises(ValueError):
             RandomForestRegressor(n_jobs=-1)
+
+    def test_explicit_n_jobs_wins_over_context(self):
+        from repro.runtime import RunContext
+
+        ctx = RunContext(n_jobs=4)
+        assert RandomForestRegressor(n_jobs=1, ctx=ctx).n_jobs == 1
+        assert RandomForestRegressor(n_jobs=2, ctx=ctx).n_jobs == 2
+        assert RandomForestRegressor(ctx=ctx).n_jobs == 4
+        assert RandomForestRegressor().n_jobs == 1
+        params = RandomForestRegressor(n_jobs=0).get_params()
+        assert isinstance(params["n_jobs"], int) and params["n_jobs"] >= 1

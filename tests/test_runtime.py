@@ -4,11 +4,17 @@ Covers the :class:`RunContext` resolution shims, the single
 :func:`resolve_engine` validator (every call site must enumerate its
 valid choices), and the content-addressed :class:`ArtifactStore` —
 cross-stage key isolation, durability statuses, and FIFO eviction
-across mixed stage types.
+across mixed stage types — plus the process-pool executor
+(:func:`parallel_map`) and the telemetry parity it gives every parallel
+site across worker counts.
 """
 
 import logging
+import multiprocessing
+import operator
+import os
 import pickle
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,13 +26,14 @@ from repro.embeddings.skipgram import SkipGramTrainer, walks_to_pairs
 from repro.embeddings.walks import node2vec_walks, uniform_random_walks
 from repro.exceptions import CensusError
 from repro.ml.forest import RandomForestRegressor
-from repro.obs import fresh_telemetry
+from repro.obs import fresh_telemetry, get_telemetry
 from repro.runtime import (
     ArtifactStore,
     Pipeline,
     RunContext,
     artifact_key,
     freeze_config,
+    parallel_map,
     resolve_engine,
     resolve_n_jobs,
 )
@@ -640,3 +647,188 @@ class TestArtifactStoreConcurrency:
         for thread in threads:
             thread.join()
         assert errors == []
+
+
+# -- the process-pool executor ----------------------------------------------
+def _sleep_then_echo(state, task):
+    index, seconds = task
+    time.sleep(seconds)
+    return index
+
+
+def _setup_token():
+    return os.urandom(8)
+
+
+def _pid_and_state(state, task):
+    return os.getpid(), state
+
+
+def _raise_on_three(state, task):
+    if task == 3:
+        raise CensusError(f"bad root {task}")
+    return task
+
+
+class TestParallelMap:
+    def test_results_keep_input_order_under_uneven_durations(self):
+        # Early tasks are the slowest, so later ones finish first.
+        tasks = [(i, 0.3 if i < 2 else 0.0) for i in range(6)]
+        assert parallel_map(_sleep_then_echo, tasks, n_jobs=2) == list(range(6))
+
+    def test_setup_runs_once_per_worker(self):
+        results = parallel_map(
+            _pid_and_state, range(8), n_jobs=2, setup=_setup_token
+        )
+        tokens_by_pid: dict = {}
+        for pid, token in results:
+            tokens_by_pid.setdefault(pid, set()).add(token)
+        assert os.getpid() not in tokens_by_pid
+        assert 1 <= len(tokens_by_pid) <= 2
+        # One setup per worker: each worker saw one state, no two the same.
+        assert all(len(tokens) == 1 for tokens in tokens_by_pid.values())
+        assert len(set().union(*tokens_by_pid.values())) == len(tokens_by_pid)
+
+    def test_in_process_path_runs_setup_once_and_records_globally(self):
+        calls = []
+
+        def setup(value):
+            calls.append(value)
+            return value
+
+        def task(state, item):
+            get_telemetry().count("test/tasks")
+            return state + item
+
+        with fresh_telemetry() as telemetry:
+            assert parallel_map(
+                task, [1, 2, 3], n_jobs=1, setup=setup, setup_args=(10,)
+            ) == [11, 12, 13]
+            # One task never needs a pool, whatever n_jobs says.
+            assert parallel_map(
+                task, [5], n_jobs=4, setup=setup, setup_args=(20,)
+            ) == [25]
+        assert calls == [10, 20]
+        assert telemetry.counters["test/tasks"] == 4
+
+    def test_no_setup_passes_setup_args_as_state(self):
+        assert parallel_map(
+            operator.getitem, [0, 2], n_jobs=1, setup_args=("a", "b", "c")
+        ) == ["a", "c"]
+
+    def test_worker_error_reraises_with_type_and_message(self):
+        with pytest.raises(CensusError, match=r"^bad root 3$"):
+            parallel_map(_raise_on_three, range(6), n_jobs=2)
+
+    def test_empty_tasks_skip_setup(self):
+        def setup():  # pragma: no cover - must not run
+            raise AssertionError("setup ran for no tasks")
+
+        assert parallel_map(operator.getitem, [], n_jobs=4, setup=setup) == []
+
+    @pytest.mark.parametrize(
+        "mp_context", ["spawn", multiprocessing.get_context("spawn")]
+    )
+    def test_spawn_start_method(self, mp_context):
+        assert parallel_map(
+            operator.getitem,
+            [0, 2, 1],
+            n_jobs=2,
+            setup_args=("a", "b", "c"),
+            mp_context=mp_context,
+        ) == ["a", "c", "b"]
+
+
+# -- telemetry parity: n_jobs changes where tasks run, not what they record --
+#: Spans opened once per chunk of work: their call counts follow the
+#: chunking, which depends on n_jobs by design.
+_CHUNK_TIMERS = {"census/chunk", "forest/chunk"}
+
+
+def _recorded(run) -> tuple:
+    with fresh_telemetry() as telemetry:
+        result = run()
+    counts = {
+        name: stat.count
+        for name, stat in telemetry.timers.items()
+        if name not in _CHUNK_TIMERS
+    }
+    return result, telemetry.counters, counts
+
+
+def _assert_parity(make_run):
+    serial_result, serial_counters, serial_counts = _recorded(make_run(1))
+    pooled_result, pooled_counters, pooled_counts = _recorded(make_run(2))
+    # approx: sampled-census counters are float sums, added per chunk.
+    assert pooled_counters == pytest.approx(serial_counters, rel=1e-12)
+    assert pooled_counts == serial_counts
+    return serial_result, pooled_result
+
+
+@pytest.fixture(scope="module")
+def parity_graph():
+    from repro.datasets.synthetic import affinity_graph
+
+    return affinity_graph(
+        label_sizes={"a": 40, "b": 30, "c": 20},
+        affinity={("a", "b"): 1.0, ("b", "c"): 0.7, ("a", "c"): 0.3},
+        mean_degree=4.0,
+        rng=np.random.default_rng(0),
+    )
+
+
+class TestTelemetryParity:
+    @pytest.mark.parametrize("engine", ["fast", "sampled"])
+    def test_census_many(self, parity_graph, engine):
+        from repro.core.features import SubgraphFeatureExtractor
+        from repro.core.sampled import SampledCensusConfig
+
+        roots = list(range(0, parity_graph.num_nodes, 2))
+        sampled = SampledCensusConfig(budget=64) if engine == "sampled" else None
+
+        def make_run(n_jobs):
+            extractor = SubgraphFeatureExtractor(
+                CensusConfig(max_edges=3),
+                sampled=sampled,
+                ctx=RunContext(engine=engine, n_jobs=n_jobs),
+            )
+            return lambda: extractor.census_many(parity_graph, roots)
+
+        serial, pooled = _assert_parity(make_run)
+        assert pooled == serial
+
+    def test_partitioned_census(self, parity_graph):
+        from repro.core.features import SubgraphFeatureExtractor
+
+        roots = list(range(parity_graph.num_nodes))
+
+        def make_run(n_jobs):
+            extractor = SubgraphFeatureExtractor(
+                CensusConfig(max_edges=2), n_jobs=n_jobs, partitions=3
+            )
+            return lambda: extractor.census_many(parity_graph, roots)
+
+        serial, pooled = _assert_parity(make_run)
+        assert pooled == serial
+
+    def test_forest(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(60, 5)), rng.normal(size=60)
+
+        def make_run(n_jobs):
+            forest = RandomForestRegressor(
+                n_estimators=6, random_state=0, n_jobs=n_jobs
+            )
+            return lambda: forest.fit(X, y).predict(X)
+
+        serial, pooled = _assert_parity(make_run)
+        assert np.array_equal(pooled, serial)
+
+    def test_uniform_walks(self, parity_graph):
+        def make_run(n_jobs):
+            return lambda: uniform_random_walks(
+                parity_graph, num_walks=4, walk_length=6, rng=3, n_jobs=n_jobs
+            )
+
+        serial, pooled = _assert_parity(make_run)
+        assert np.array_equal(pooled, serial)
