@@ -1,7 +1,6 @@
 """Core of the reproduction: heterogeneous graphs, the characteristic-
 sequence encoding, the rooted subgraph census, and feature extraction."""
 
-from repro.core.cache import CensusCache, census_cache_key
 from repro.core.census import CensusConfig, CensusStats, census_total, subgraph_census
 from repro.core.collisions import CollisionReport, find_collisions
 from repro.core.connectivity import LabelConnectivity, label_connectivity
@@ -61,7 +60,6 @@ __all__ = [
     "mixing_matrix",
     "summarize",
     "CanonicalCode",
-    "CensusCache",
     "CensusConfig",
     "CensusStats",
     "CollisionReport",
@@ -86,7 +84,6 @@ __all__ = [
     "SubgraphFeatures",
     "are_isomorphic",
     "canonical_code",
-    "census_cache_key",
     "census_total",
     "code_num_edges",
     "code_num_nodes",

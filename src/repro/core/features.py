@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.cache import CensusCache, census_config_key
+from repro.core.cache import census_config_key, get_census, put_census
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.graph import HeteroGraph
 from repro.core.sampled import SampledCensusConfig
@@ -30,7 +30,7 @@ from repro.exceptions import FeatureError
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import ENGINE_SAMPLED, RunContext
 from repro.runtime.executor import parallel_map
-from repro.runtime.store import STAGE_FEATURES, ArtifactStore
+from repro.runtime.store import STAGE_FEATURES
 
 
 class FeatureSpace:
@@ -219,13 +219,6 @@ class SubgraphFeatureExtractor:
         Number of worker processes; 1 (default) runs in-process.  Workers
         each receive the read-only graph, mirroring the paper's shared
         edge-list parallelisation.
-    cache:
-        Optional :class:`~repro.core.cache.CensusCache` or
-        :class:`~repro.runtime.store.ArtifactStore` (wrapped into its
-        census view automatically).  Cached roots are served without
-        recomputation and fresh censuses are written back, so ablation
-        grids that re-census overlapping node sets under one config pay
-        for each root once.
     partitions:
         Shard count for the partitioned census (see :mod:`repro.dist`).
         When set, uncached roots are routed through halo-complete graph
@@ -240,9 +233,13 @@ class SubgraphFeatureExtractor:
         pipeline unchanged (float counts instead of ints).
     ctx:
         Optional :class:`~repro.runtime.context.RunContext`; supplies
-        ``n_jobs``, ``partitions``, and the artifact store when the
-        legacy keywords are not given explicitly.  A context store also
-        enables feature-matrix caching in :meth:`fit_transform`.
+        ``n_jobs`` and ``partitions`` when the legacy keywords are not
+        given explicitly.  A context store memoises per-root censuses
+        (see :mod:`repro.core.cache`): stored roots are served without
+        recomputation and fresh censuses are written back, so ablation
+        grids that re-census overlapping node sets under one config pay
+        for each root once.  It also caches feature matrices in
+        :meth:`fit_transform`.
     mp_context:
         Multiprocessing start method for the worker pool (``"fork"``,
         ``"spawn"``, ``"forkserver"``, or a ready context object);
@@ -256,7 +253,6 @@ class SubgraphFeatureExtractor:
         self,
         config: CensusConfig | None = None,
         n_jobs: int | None = None,
-        cache: "CensusCache | ArtifactStore | None" = None,
         *,
         partitions: int | None = None,
         sampled: SampledCensusConfig | None = None,
@@ -265,15 +261,10 @@ class SubgraphFeatureExtractor:
     ) -> None:
         if n_jobs is not None and n_jobs < 1:
             raise FeatureError(f"n_jobs must be >= 1, got {n_jobs}")
-        if isinstance(cache, ArtifactStore):
-            cache = CensusCache.over(cache)
         ctx = RunContext.ensure(ctx, n_jobs=n_jobs, partitions=partitions)
-        if cache is None and ctx.store is not None:
-            cache = CensusCache.over(ctx.store)
         self.config = config if config is not None else CensusConfig()
         self.n_jobs = ctx.resolved_n_jobs(default=1)
         self.partitions = ctx.resolved_partitions()
-        self.cache = cache
         self.ctx = ctx
         #: Census engine (None = the census default); threaded into every
         #: subgraph_census call, including pool workers.
@@ -319,7 +310,7 @@ class SubgraphFeatureExtractor:
         Results are bit-identical either way.
         """
         config = self.config
-        cache = self.cache
+        store = self.ctx.store
         sampled = self.sampled
         if partitions is None:
             partitions = self.partitions
@@ -341,10 +332,10 @@ class SubgraphFeatureExtractor:
         if duplicates:
             telemetry.count("census/dedup_saved", duplicates)
         computed: dict[int, Counter] = {}
-        if cache is not None:
+        if store is not None:
             pending = []
             for node in positions:
-                hit = cache.get(graph, config, node, sampled)
+                hit = get_census(store, graph, config, node, sampled)
                 if hit is None:
                     pending.append(node)
                 else:
@@ -407,9 +398,9 @@ class SubgraphFeatureExtractor:
                     ),
                 ):
                     computed.update(zip(chunk, censuses))
-            if cache is not None:
+            if store is not None:
                 for node in pending:
-                    cache.put(graph, config, node, computed[node], sampled)
+                    put_census(store, graph, config, node, computed[node], sampled)
         for node, node_positions in positions.items():
             census = computed[node]
             results[node_positions[0]] = census

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import CensusCache
+from repro.core.cache import get_census, put_census
 from repro.core.census import CensusConfig, EngineMode, subgraph_census
 from repro.core.graph import HeteroGraph
 from repro.experiments.common import (
@@ -25,6 +25,7 @@ from repro.experiments.common import (
 )
 from repro.obs.telemetry import get_telemetry
 from repro.runtime.context import RunContext
+from repro.runtime.store import ArtifactStore
 
 
 @dataclass
@@ -74,14 +75,14 @@ def time_census_per_node(
     dmax_percentile: float = 90.0,
     mask_start_label: bool = True,
     engine: EngineMode = "fast",
-    cache: CensusCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> np.ndarray:
     """Wall-clock seconds of the rooted census for each node.
 
     ``engine`` selects the census implementation so the report can
     compare the incremental engine against the reference path on the
-    same roots (the perf benchmarks do exactly that).  When ``cache`` is
-    given, cached roots are served (and counted as hits) — their rows
+    same roots (the perf benchmarks do exactly that).  When ``store`` is
+    given, stored roots are served (and counted as hits) — their rows
     then time the lookup, i.e. the *memoised* runtime — and fresh
     censuses are written back.  Per-root timing also lands in the
     ``census/root_timed`` telemetry timer.
@@ -97,13 +98,13 @@ def time_census_per_node(
     for i, node in enumerate(nodes):
         node = int(node)
         started = time.perf_counter()
-        counts = cache.get(graph, config, node) if cache is not None else None
+        counts = get_census(store, graph, config, node) if store is not None else None
         if counts is None:
             counts = subgraph_census(graph, node, config, engine=engine)
-            if cache is not None:
-                cache.put(graph, config, node, counts)
+            if store is not None:
+                put_census(store, graph, config, node, counts)
                 telemetry.count("census/cache_misses")
-        elif cache is not None:
+        elif store is not None:
             telemetry.count("census/cache_hits")
         times[i] = time.perf_counter() - started
         telemetry.timer("census/root_timed", times[i])
@@ -156,7 +157,6 @@ def runtime_report(
     engine: EngineMode = "fast",
     embedding_engine: str = "fast",
     embedding_n_jobs: int = 1,
-    census_cache: CensusCache | None = None,
     ctx: RunContext | None = None,
 ) -> RuntimeReport:
     """Build one Table 3 row for a dataset.
@@ -164,16 +164,14 @@ def runtime_report(
     ``engine`` selects the census implementation, ``embedding_engine`` and
     ``embedding_n_jobs`` the embedding pipeline; both are recorded.  The
     census and embedding phases land in the ``phase/*`` telemetry timers
-    the run manifest reports.  A context store supplies the census cache
-    (when ``census_cache`` is not given) and embedding memoisation.
+    the run manifest reports.  A context store memoises both censuses and
+    embeddings.
     """
     ctx = RunContext.ensure(ctx)
-    if census_cache is None and ctx.store is not None:
-        census_cache = CensusCache.over(ctx.store)
     telemetry = get_telemetry()
     with telemetry.span("phase/census"):
         times = time_census_per_node(
-            graph, nodes, emax, dmax_percentile, engine=engine, cache=census_cache
+            graph, nodes, emax, dmax_percentile, engine=engine, store=ctx.store
         )
     params = embedding_params if embedding_params is not None else EmbeddingParams.fast()
     with telemetry.span("phase/embeddings"):

@@ -2,7 +2,7 @@
 
 ``repro census|features|embed|runtime|rank|label --telemetry-out run.json``
 writes a manifest capturing *what the run did*: the resolved CLI config,
-engine/n_jobs/version provenance, census-cache and per-stage
+engine/n_jobs/version provenance, census and per-stage
 artifact-store hit rates, per-phase and per-pipeline-stage wall clock,
 every telemetry counter/timer/gauge, and peak RSS.  The schema is
 documented in ``docs/observability.md``; bump :data:`SCHEMA_VERSION`

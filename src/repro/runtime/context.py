@@ -9,9 +9,9 @@ bundles those execution concerns — engine selection, worker count, seed
 policy, the telemetry registry, and the :class:`~repro.runtime.store.ArtifactStore`
 handle — into a single object that every layer accepts as ``ctx=``.
 
-Legacy call signatures keep working: each public entry point still takes
-its old ``engine=``/``n_jobs=``/``cache=`` keywords and routes them
-through :meth:`RunContext.ensure`, the deprecation shim that builds (or
+Legacy call signatures keep working: public entry points still take
+their old ``engine=``/``n_jobs=`` keywords and route them through
+:meth:`RunContext.ensure`, the deprecation shim that builds (or
 specialises) a context from them.  New code should construct one context
 per run and pass it down.
 

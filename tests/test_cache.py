@@ -1,20 +1,28 @@
-"""Unit tests for the per-root census cache and its extractor wiring."""
+"""Unit tests for census memoisation through the artifact store.
+
+Covers the census keys of :mod:`repro.core.cache`, the
+:func:`get_census`/:func:`put_census` pair over an
+:class:`~repro.runtime.store.ArtifactStore`, and the extractor's use of
+its context store.  Store mechanics shared by every stage (atomic save,
+load statuses, eviction) are covered in ``tests/test_runtime.py``; the
+tests here drive them with census entries.
+"""
 
 from __future__ import annotations
 
-import logging
 import pickle
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-import repro.core.cache as cache_module
-from repro.core.cache import CensusCache, census_cache_key
+from repro.core.cache import census_store_config, get_census, put_census
 from repro.core.census import CensusConfig, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.graph import HeteroGraph
+from repro.runtime import ArtifactStore, RunContext
+from repro.runtime.store import STAGE_CENSUS
+from tests.test_runtime import captured_store_warnings
 
 
 @pytest.fixture
@@ -22,78 +30,74 @@ def config() -> CensusConfig:
     return CensusConfig(max_edges=3)
 
 
-class TestCensusCacheKey:
+def _census_counts(store: ArtifactStore) -> tuple[int, int]:
+    """(hits, misses) of the census stage."""
+    return (
+        store.stage_hits.get(STAGE_CENSUS, 0),
+        store.stage_misses.get(STAGE_CENSUS, 0),
+    )
+
+
+class TestCensusKey:
     def test_key_varies_with_each_component(self, publication_graph, config):
-        base = census_cache_key(publication_graph, config, 0)
-        assert census_cache_key(publication_graph, config, 1) != base
-        other_config = CensusConfig(max_edges=4)
-        assert census_cache_key(publication_graph, other_config, 0) != base
+        base = census_store_config(config, 0)
+        assert census_store_config(config, 1) != base
+        assert census_store_config(CensusConfig(max_edges=4), 0) != base
+        store = ArtifactStore()
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
         other_graph = HeteroGraph.from_edges(
             {"a": "A", "b": "B"}, [("a", "b")]
         )
-        assert census_cache_key(other_graph, config, 0) != base
+        assert get_census(store, other_graph, config, 0) is None
 
     def test_key_normalises_numpy_roots(self, publication_graph, config):
-        assert census_cache_key(
-            publication_graph, config, np.int64(2)
-        ) == census_cache_key(publication_graph, config, 2)
+        assert census_store_config(config, np.int64(2)) == census_store_config(
+            config, 2
+        )
+        store = ArtifactStore()
+        put_census(store, publication_graph, config, np.int64(2), Counter({"k": 1}))
+        assert get_census(store, publication_graph, config, 2) == Counter({"k": 1})
 
 
-class TestCensusCache:
+class TestCensusMemo:
     def test_roundtrip_and_stats(self, publication_graph, config):
-        cache = CensusCache()
-        assert cache.get(publication_graph, config, 0) is None
+        store = ArtifactStore()
+        assert get_census(store, publication_graph, config, 0) is None
         census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
-        assert cache.get(publication_graph, config, 0) == census
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert len(cache) == 1
-
-    def test_get_returns_defensive_copy(self, publication_graph, config):
-        cache = CensusCache()
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        hit = cache.get(publication_graph, config, 0)
-        hit["k"] = 999
-        assert cache.get(publication_graph, config, 0) == Counter({"k": 1})
+        put_census(store, publication_graph, config, 0, census)
+        assert get_census(store, publication_graph, config, 0) == census
+        assert _census_counts(store) == (1, 1)
+        assert store.stage_entries(STAGE_CENSUS) == 1
 
     def test_persistence_roundtrip(self, publication_graph, config, tmp_path):
-        path = tmp_path / "census.cache"
-        cache = CensusCache(path)
+        path = tmp_path / "store.pkl"
+        store = ArtifactStore(path)
         census = subgraph_census(publication_graph, 1, config)
-        cache.put(publication_graph, config, 1, census)
-        cache.save()
+        put_census(store, publication_graph, config, 1, census)
+        store.save()
 
-        reloaded = CensusCache(path)
-        assert len(reloaded) == 1
-        assert reloaded.get(publication_graph, config, 1) == census
-
-    def test_corrupt_file_starts_empty(self, tmp_path):
-        path = tmp_path / "census.cache"
-        path.write_bytes(b"not a pickle")
-        assert len(CensusCache(path)) == 0
-
-    def test_save_without_path_raises(self):
-        with pytest.raises(ValueError, match="path"):
-            CensusCache().save()
+        reloaded = ArtifactStore(path)
+        assert reloaded.stage_entries(STAGE_CENSUS) == 1
+        assert get_census(reloaded, publication_graph, config, 1) == census
 
     def test_clear_resets_everything(self, publication_graph, config):
-        cache = CensusCache()
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        cache.get(publication_graph, config, 0)
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses) == (0, 0)
+        store = ArtifactStore()
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
+        get_census(store, publication_graph, config, 0)
+        store.clear()
+        assert len(store) == 0
+        assert _census_counts(store) == (0, 0)
 
 
 class TestExtractorCacheIntegration:
     def test_second_extraction_is_all_hits(self, publication_graph, config):
-        cache = CensusCache()
-        extractor = SubgraphFeatureExtractor(config, cache=cache)
+        store = ArtifactStore()
+        extractor = SubgraphFeatureExtractor(config, ctx=RunContext(store=store))
         nodes = [0, 2, 4]
         first = extractor.census_many(publication_graph, nodes)
-        assert cache.misses == len(nodes) and cache.hits == 0
+        assert _census_counts(store) == (0, len(nodes))
         second = extractor.census_many(publication_graph, nodes)
-        assert cache.hits == len(nodes)
+        assert _census_counts(store) == (len(nodes), len(nodes))
         assert first == second
 
     def test_cached_results_match_uncached(self, publication_graph, config):
@@ -101,192 +105,101 @@ class TestExtractorCacheIntegration:
         plain = SubgraphFeatureExtractor(config).census_many(
             publication_graph, nodes
         )
-        cache = CensusCache()
-        cached_extractor = SubgraphFeatureExtractor(config, cache=cache)
+        cached_extractor = SubgraphFeatureExtractor(
+            config, ctx=RunContext(store=ArtifactStore())
+        )
         cached_extractor.census_many(publication_graph, nodes)  # warm
         warm = cached_extractor.census_many(publication_graph, nodes)
         assert warm == plain
 
     def test_config_change_misses(self, publication_graph):
-        cache = CensusCache()
+        ctx = RunContext(store=ArtifactStore())
         SubgraphFeatureExtractor(
-            CensusConfig(max_edges=2), cache=cache
+            CensusConfig(max_edges=2), ctx=ctx
         ).census_many(publication_graph, [0])
         SubgraphFeatureExtractor(
-            CensusConfig(max_edges=3), cache=cache
+            CensusConfig(max_edges=3), ctx=ctx
         ).census_many(publication_graph, [0])
-        assert cache.hits == 0
-        assert len(cache) == 2
-
-
-@contextmanager
-def captured_cache_warnings():
-    """Collect warning records from the cache module's logger.
-
-    ``caplog`` cannot be used here: the ``repro`` hierarchy sets
-    ``propagate = False`` once the CLI has configured logging, so records
-    never reach the root logger pytest listens on.  Attaching a handler
-    directly to the module logger sees them regardless.
-    """
-    records: list[logging.LogRecord] = []
-
-    class _Collector(logging.Handler):
-        def emit(self, record: logging.LogRecord) -> None:
-            records.append(record)
-
-    logger = logging.getLogger("repro.core.cache")
-    handler = _Collector(level=logging.WARNING)
-    old_level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.WARNING)
-    try:
-        yield records
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(old_level)
+        assert _census_counts(ctx.store)[0] == 0
+        assert ctx.store.stage_entries(STAGE_CENSUS) == 2
 
 
 class TestDurability:
-    """The save path must never corrupt an existing cache file."""
-
-    def _saved_cache(self, publication_graph, config, path) -> Counter:
-        cache = CensusCache(path)
-        census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
-        cache.save()
-        return census
-
-    def test_interrupted_save_leaves_original_intact(
-        self, publication_graph, config, tmp_path, monkeypatch
-    ):
-        """A crash mid-write (kill -9 style) must not clobber the file."""
-        path = tmp_path / "census.cache"
-        census = self._saved_cache(publication_graph, config, path)
-        good_bytes = path.read_bytes()
-
-        def dying_dump(obj, fh, protocol=None):
-            fh.write(b"\x80\x04partial-garbage")
-            raise KeyboardInterrupt("simulated kill")
-
-        monkeypatch.setattr(cache_module.pickle, "dump", dying_dump)
-        cache = CensusCache(path)
-        cache.put(publication_graph, config, 1, Counter({"new": 1}))
-        with pytest.raises(KeyboardInterrupt):
-            cache.save()
-
-        # Original contents untouched; the stray bytes live in a temp file.
-        assert path.read_bytes() == good_bytes
-        leftovers = list(tmp_path.glob("census.cache.*.tmp"))
-        assert len(leftovers) == 1
-        reloaded = CensusCache(path)
-        assert reloaded.load_status == "loaded"
-        assert reloaded.get(publication_graph, config, 0) == census
+    """Census entries survive saves into an existing store file."""
 
     def test_save_replaces_stale_contents(self, publication_graph, config, tmp_path):
-        path = tmp_path / "census.cache"
-        self._saved_cache(publication_graph, config, path)
-        fresh = CensusCache(path)
-        fresh.put(publication_graph, config, 1, Counter({"k": 2}))
+        path = tmp_path / "store.pkl"
+        store = ArtifactStore(path)
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
+        store.save()
+        fresh = ArtifactStore(path)
+        put_census(fresh, publication_graph, config, 1, Counter({"k": 2}))
         fresh.save()
-        assert len(CensusCache(path)) == 2
+        assert ArtifactStore(path).stage_entries(STAGE_CENSUS) == 2
 
     def test_save_to_explicit_path(self, publication_graph, config, tmp_path):
-        cache = CensusCache()
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        target = cache.save(tmp_path / "explicit.cache")
+        store = ArtifactStore()
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
+        target = store.save(tmp_path / "explicit.pkl")
         assert target.exists()
-        assert len(CensusCache(target)) == 1
+        assert get_census(
+            ArtifactStore(target), publication_graph, config, 0
+        ) == Counter({"k": 1})
 
 
 class TestLoadStatus:
     """Failed loads must warn and be inspectable, never silent."""
 
     def test_no_path_is_none(self):
-        assert CensusCache().load_status is None
-
-    def test_missing_file(self, tmp_path):
-        assert CensusCache(tmp_path / "nope.cache").load_status == "missing"
+        assert ArtifactStore().load_status is None
 
     def test_loaded(self, publication_graph, config, tmp_path):
-        path = tmp_path / "census.cache"
-        cache = CensusCache(path)
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        cache.save()
-        assert CensusCache(path).load_status == "loaded"
+        path = tmp_path / "store.pkl"
+        store = ArtifactStore(path)
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
+        store.save()
+        assert ArtifactStore(path).load_status == "loaded"
 
     def test_corrupt_file_warns(self, tmp_path):
-        path = tmp_path / "census.cache"
+        path = tmp_path / "store.pkl"
         path.write_bytes(b"not a pickle")
-        with captured_cache_warnings() as records:
-            cache = CensusCache(path)
-        assert cache.load_status == "corrupt"
+        with captured_store_warnings() as records:
+            store = ArtifactStore(path)
+        assert store.load_status == "corrupt"
         assert len(records) == 1
         message = records[0].getMessage()
         assert "unreadable" in message
         assert str(path) in message
 
-    def test_garbage_text_warns(self, tmp_path):
-        """Text garbage parses as protocol-0 opcodes raising ValueError."""
-        path = tmp_path / "census.cache"
-        path.write_bytes(b"garbage\n")
-        with captured_cache_warnings() as records:
-            assert CensusCache(path).load_status == "corrupt"
-        assert len(records) == 1
-
-    def test_truncated_pickle_warns(self, publication_graph, config, tmp_path):
-        path = tmp_path / "census.cache"
-        cache = CensusCache(path)
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        cache.save()
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with captured_cache_warnings() as records:
-            assert CensusCache(path).load_status == "corrupt"
-        assert len(records) == 1
-
     def test_version_mismatch_warns_and_ignores(self, tmp_path):
-        path = tmp_path / "census.cache"
+        path = tmp_path / "store.pkl"
         path.write_bytes(
-            pickle.dumps({"version": 999, "entries": {("fp", (), 0): Counter()}})
+            pickle.dumps({"version": 999, "entries": {("fp", "census", ()): Counter()}})
         )
-        with captured_cache_warnings() as records:
-            cache = CensusCache(path)
-        assert cache.load_status == "version-mismatch"
-        assert len(cache) == 0
+        with captured_store_warnings() as records:
+            store = ArtifactStore(path)
+        assert store.load_status == "version-mismatch"
+        assert len(store) == 0
         assert len(records) == 1
         assert "version" in records[0].getMessage()
-
-    def test_legacy_payload_is_version_mismatch(self, tmp_path):
-        """Pre-versioned caches (a bare dict) are ignored, not crashed on."""
-        path = tmp_path / "census.cache"
-        path.write_bytes(pickle.dumps({("fp", (), 0): Counter({"k": 1})}))
-        with captured_cache_warnings() as records:
-            cache = CensusCache(path)
-        assert cache.load_status == "version-mismatch"
-        assert len(cache) == 0
-        assert len(records) == 1
 
 
 class TestEviction:
     def test_fifo_eviction_beyond_bound(self, publication_graph, config):
-        cache = CensusCache(max_entries=2)
+        store = ArtifactStore(max_entries=2)
         for root in (0, 1, 2):
-            cache.put(publication_graph, config, root, Counter({"k": root}))
-        assert len(cache) == 2
-        assert cache.evictions == 1
+            put_census(store, publication_graph, config, root, Counter({"k": root}))
+        assert len(store) == 2
+        assert store.evictions == 1
         # Oldest entry (root 0) is gone; newest two survive.
-        assert cache.get(publication_graph, config, 0) is None
-        assert cache.get(publication_graph, config, 1) == Counter({"k": 1})
-        assert cache.get(publication_graph, config, 2) == Counter({"k": 2})
+        assert get_census(store, publication_graph, config, 0) is None
+        assert get_census(store, publication_graph, config, 1) == Counter({"k": 1})
+        assert get_census(store, publication_graph, config, 2) == Counter({"k": 2})
 
     def test_overwrite_does_not_evict(self, publication_graph, config):
-        cache = CensusCache(max_entries=2)
-        cache.put(publication_graph, config, 0, Counter({"k": 1}))
-        cache.put(publication_graph, config, 1, Counter({"k": 2}))
-        cache.put(publication_graph, config, 0, Counter({"k": 3}))
-        assert cache.evictions == 0
-        assert cache.get(publication_graph, config, 0) == Counter({"k": 3})
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            CensusCache(max_entries=0)
+        store = ArtifactStore(max_entries=2)
+        put_census(store, publication_graph, config, 0, Counter({"k": 1}))
+        put_census(store, publication_graph, config, 1, Counter({"k": 2}))
+        put_census(store, publication_graph, config, 0, Counter({"k": 3}))
+        assert store.evictions == 0
+        assert get_census(store, publication_graph, config, 0) == Counter({"k": 3})

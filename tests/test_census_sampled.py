@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from repro.core.cache import CensusCache, census_config_key
+from repro.core.cache import census_config_key, get_census, put_census
 from repro.core.census import CensusConfig, census_total, subgraph_census
 from repro.core.features import SubgraphFeatureExtractor
 from repro.core.sampled import (
@@ -27,7 +27,7 @@ from repro.core.sampled import (
 )
 from repro.dist import subgraph_census_sharded
 from repro.exceptions import CensusError, FeatureError
-from repro.runtime import EXACT_ENGINES, VALID_ENGINES, RunContext
+from repro.runtime import EXACT_ENGINES, VALID_ENGINES, ArtifactStore, RunContext
 
 
 @pytest.fixture
@@ -296,19 +296,17 @@ class TestCacheKeys:
         census = subgraph_census(
             publication_graph, 0, config, engine="sampled", sampled=sampled
         )
-        cache = CensusCache()
-        cache.put(publication_graph, config, 0, census, sampled)
+        store = ArtifactStore()
+        put_census(store, publication_graph, config, 0, census, sampled)
         # The exact slot for the same (graph, config, root) stays empty.
-        assert cache.get(publication_graph, config, 0) is None
-        hit = cache.get(publication_graph, config, 0, sampled)
+        assert get_census(store, publication_graph, config, 0) is None
+        hit = get_census(store, publication_graph, config, 0, sampled)
         assert hit == census
         assert hit.report == census.report
 
     def test_extractor_store_separates_sampled_from_exact(
         self, publication_graph, config
     ):
-        from repro.runtime import ArtifactStore
-
         store = ArtifactStore()
         exact_extractor = SubgraphFeatureExtractor(
             config, ctx=RunContext(engine="fast", store=store)
@@ -335,26 +333,26 @@ class TestCrossCapCache:
     def test_uncapped_hit_served_when_under_cap(
         self, publication_graph, config
     ):
-        cache = CensusCache()
+        store = ArtifactStore()
         census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
+        put_census(store, publication_graph, config, 0, census)
         total = census_total(census)
         capped = CensusConfig(max_edges=3, max_subgraphs=total)
-        assert cache.get(publication_graph, capped, 0) == census
+        assert get_census(store, publication_graph, capped, 0) == census
 
     def test_uncapped_hit_raises_when_over_cap(
         self, publication_graph, config
     ):
-        cache = CensusCache()
+        store = ArtifactStore()
         census = subgraph_census(publication_graph, 0, config)
-        cache.put(publication_graph, config, 0, census)
+        put_census(store, publication_graph, config, 0, census)
         cap = census_total(census) - 1
         capped = CensusConfig(max_edges=3, max_subgraphs=cap)
         with pytest.raises(CensusError, match="max_subgraphs"):
-            cache.get(publication_graph, capped, 0)
+            get_census(store, publication_graph, capped, 0)
 
     def test_cap_matches_live_behaviour(self, publication_graph, config):
-        """The cache raises exactly when an uncached call would have."""
+        """The lookup raises exactly when an uncached call would have."""
         census = subgraph_census(publication_graph, 0, config)
         cap = census_total(census) - 1
         capped = CensusConfig(max_edges=3, max_subgraphs=cap)

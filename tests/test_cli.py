@@ -68,8 +68,8 @@ class TestCensus:
         assert "__mask__" in capsys.readouterr().out
 
     def test_census_cache_file_roundtrip(self, graph_json, tmp_path, capsys):
-        """--census-cache writes a cache file that serves the second run."""
-        cache_path = tmp_path / "census.cache"
+        """--artifact-store writes a store file that serves the second run."""
+        cache_path = tmp_path / "store.pkl"
         args = [
             "census",
             graph_json,
@@ -77,7 +77,7 @@ class TestCensus:
             "i1",
             "--emax",
             "2",
-            "--census-cache",
+            "--artifact-store",
             str(cache_path),
         ]
         assert main(args) == 0
@@ -227,7 +227,7 @@ class TestFeatures:
 
     def test_n_jobs_and_cache_flags(self, graph_json, tmp_path, capsys):
         out_path = tmp_path / "features.json"
-        cache_path = tmp_path / "census.cache"
+        cache_path = tmp_path / "store.pkl"
         code = main(
             [
                 "features",
@@ -238,7 +238,7 @@ class TestFeatures:
                 "2",
                 "--n-jobs",
                 "2",
-                "--census-cache",
+                "--artifact-store",
                 str(cache_path),
                 "--out",
                 str(out_path),
@@ -246,7 +246,8 @@ class TestFeatures:
         )
         assert code == 0
         assert cache_path.exists()
-        assert "census cache: 4 entries" in capsys.readouterr().err
+        # Four censuses plus the feature matrix.
+        assert "artifact store: 5 entries" in capsys.readouterr().err
 
     def test_empty_nodes_rejected(self, graph_json, tmp_path):
         with pytest.raises(SystemExit, match="at least one node"):
@@ -524,19 +525,19 @@ class TestArtifactStore:
         assert "artifact store:" in second.err
         assert first.out == second.out
 
-    def test_census_cache_alias_still_works(self, graph_json, tmp_path, capsys):
-        args = [
-            "census",
-            graph_json,
-            "--root",
-            "i1",
-            "--emax",
-            "2",
-            "--census-cache",
-            str(tmp_path / "census.cache"),
-        ]
-        assert main(args) == 0
-        assert "census cache:" in capsys.readouterr().err
+    def test_removed_census_cache_flag_rejected(self, graph_json, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "census",
+                    graph_json,
+                    "--root",
+                    "i1",
+                    "--census-cache",
+                    str(tmp_path / "census.cache"),
+                ]
+            )
+        assert excinfo.value.code == 2
 
     def test_label_engine_flag(self, imdb_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
@@ -620,7 +621,7 @@ class TestArtifactStore:
 class TestTelemetryAndLogging:
     def test_telemetry_out_writes_manifest(self, graph_json, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
-        cache_path = tmp_path / "census.cache"
+        cache_path = tmp_path / "store.pkl"
         args = [
             "census",
             graph_json,
@@ -628,7 +629,7 @@ class TestTelemetryAndLogging:
             "i1",
             "--emax",
             "2",
-            "--census-cache",
+            "--artifact-store",
             str(cache_path),
             "--telemetry-out",
             str(manifest_path),
@@ -665,8 +666,8 @@ class TestTelemetryAndLogging:
                 "2",
                 "--n-jobs",
                 "2",
-                "--census-cache",
-                str(tmp_path / "census.cache"),
+                "--artifact-store",
+                str(tmp_path / "store.pkl"),
                 "--telemetry-out",
                 str(manifest_path),
             ]

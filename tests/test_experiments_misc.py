@@ -94,13 +94,13 @@ class TestRuntime:
         assert "n/a" in rendered
 
     def test_census_cache_serves_second_timing_pass(self, imdb_graph):
-        from repro.core.cache import CensusCache
         from repro.obs.telemetry import fresh_telemetry
+        from repro.runtime import ArtifactStore
 
-        cache = CensusCache()
+        store = ArtifactStore()
         with fresh_telemetry() as telemetry:
-            cold = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, cache=cache)
-            warm = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, cache=cache)
+            cold = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, store=store)
+            warm = time_census_per_node(imdb_graph, [0, 1, 2], emax=2, store=store)
         assert cold.shape == warm.shape == (3,)
         assert telemetry.counters["census/cache_misses"] == 3
         assert telemetry.counters["census/cache_hits"] == 3

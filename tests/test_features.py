@@ -199,16 +199,17 @@ class TestCensusManyDedup:
 
     def test_duplicates_hit_cache_not_census(self, publication_graph, monkeypatch):
         """With a cache, duplicates must not turn into extra misses."""
-        from repro.core.cache import CensusCache
+        from repro.runtime import ArtifactStore, RunContext
 
         calls = self._counting_census(monkeypatch)
         config = CensusConfig(max_edges=2)
-        cache = CensusCache()
-        extractor = SubgraphFeatureExtractor(config, cache=cache)
+        store = ArtifactStore()
+        extractor = SubgraphFeatureExtractor(config, ctx=RunContext(store=store))
         extractor.census_many(publication_graph, [0, 0, 2, 0])
         assert sorted(calls) == [0, 2]
-        assert cache.misses == 2  # one per unique root, not per occurrence
-        assert cache.hits == 0
+        # One miss per unique root, not per occurrence.
+        assert store.stage_misses == {"census": 2}
+        assert store.stage_hits == {}
 
     def test_dedup_savings_counted(self, publication_graph):
         from repro.obs.telemetry import fresh_telemetry
@@ -252,12 +253,13 @@ class TestCensusManyTelemetry:
         assert parallel.timers["census/chunk"].count >= 1
 
     def test_cache_hits_counted(self, publication_graph):
-        from repro.core.cache import CensusCache
         from repro.obs.telemetry import fresh_telemetry
+        from repro.runtime import ArtifactStore, RunContext
 
         config = CensusConfig(max_edges=2)
-        cache = CensusCache()
-        extractor = SubgraphFeatureExtractor(config, cache=cache)
+        extractor = SubgraphFeatureExtractor(
+            config, ctx=RunContext(store=ArtifactStore())
+        )
         with fresh_telemetry() as telemetry:
             extractor.census_many(publication_graph, [0, 1])
             extractor.census_many(publication_graph, [0, 1])

@@ -290,6 +290,68 @@ class TestArtifactStoreDurability:
         with pytest.raises(ValueError, match="path"):
             ArtifactStore().save()
 
+    def test_save_creates_missing_directory(self, tmp_path):
+        path = tmp_path / "no" / "such" / "dir" / "store.pkl"
+        store = ArtifactStore(path)
+        assert store.load_status == "missing"
+        store.put(FP, "census", (1,), {"c": 2})
+        assert store.save() == path
+        assert ArtifactStore(path).get(FP, "census", (1,)) == {"c": 2}
+
+    def test_interrupted_save_leaves_original_intact(self, tmp_path, monkeypatch):
+        """A crash mid-write (kill -9 style) must not clobber the file."""
+        path = tmp_path / "store.pkl"
+        store = ArtifactStore(path)
+        store.put(FP, "census", (0,), {"c": 1})
+        store.save()
+        good_bytes = path.read_bytes()
+
+        def dying_dump(obj, fh, protocol=None):
+            fh.write(b"\x80\x04partial-garbage")
+            raise KeyboardInterrupt("simulated kill")
+
+        monkeypatch.setattr(pickle, "dump", dying_dump)
+        store = ArtifactStore(path)
+        store.put(FP, "census", (1,), {"new": 1})
+        with pytest.raises(KeyboardInterrupt):
+            store.save()
+
+        # Original contents untouched; the stray bytes live in a temp file.
+        assert path.read_bytes() == good_bytes
+        assert len(list(tmp_path.glob("store.pkl.*.tmp"))) == 1
+        reloaded = ArtifactStore(path)
+        assert reloaded.load_status == "loaded"
+        assert reloaded.get(FP, "census", (0,)) == {"c": 1}
+
+    def test_garbage_text_warns(self, tmp_path):
+        """Text garbage parses as protocol-0 opcodes raising ValueError."""
+        path = tmp_path / "store.pkl"
+        path.write_bytes(b"garbage\n")
+        with captured_store_warnings() as records:
+            assert ArtifactStore(path).load_status == "corrupt"
+        assert len(records) == 1
+
+    def test_truncated_pickle_warns(self, tmp_path):
+        path = tmp_path / "store.pkl"
+        store = ArtifactStore(path)
+        store.put(FP, "census", (0,), {"c": 1})
+        store.save()
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with captured_store_warnings() as records:
+            assert ArtifactStore(path).load_status == "corrupt"
+        assert len(records) == 1
+
+    def test_legacy_payload_is_version_mismatch(self, tmp_path):
+        """Pre-versioned files (a bare dict) are ignored, not crashed on."""
+        path = tmp_path / "store.pkl"
+        path.write_bytes(pickle.dumps({("fp", (), 0): {"k": 1}}))
+        with captured_store_warnings() as records:
+            store = ArtifactStore(path)
+        assert store.load_status == "version-mismatch"
+        assert len(store) == 0
+        assert len(records) == 1
+
 
 class TestArtifactStoreEviction:
     def test_fifo_across_mixed_stages(self):
